@@ -9,13 +9,16 @@ default .bench_build/, then runs the workload. Passes the program's
 output through; its last line is the JSON result.
 
 Besides the program's own output checks, this script keeps a ledger of
-the exact counters (proof bytes, modmuls per proof, arrival counts) per
-workload, seed and duration under the build directory, and exits 1 when
-a later run with the same seed reports a different value for any of
-them. It also checks that the printed metrics are exactly the ones
+the exact counters (proof bytes, modmuls per proof, arrival counts)
+under the build directory, keyed by the SHA-256 of the built binary and
+by workload, seed and duration. It exits 1 when a later run of the same
+binary with the same seed reports a different value for any of them;
+a rebuilt program starts a ledger of its own, since a code change may
+rightly change these counts. It also checks that the printed metrics are exactly the ones
 BENCHMARK.json names for the mode.
 """
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -58,8 +61,16 @@ def expected_metrics(trace):
     return {m["name"]: m["unit"] for m in spec[key]}
 
 
-def check_ledger(build_dir, args, exact):
-    ledger_dir = os.path.join(build_dir, "ledger")
+def file_sha256(path):
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def check_ledger(build_dir, binary, args, exact):
+    ledger_dir = os.path.join(build_dir, "ledger", file_sha256(binary)[:16])
     os.makedirs(ledger_dir, exist_ok=True)
     path = os.path.join(
         ledger_dir, f"{args.workload}-seed{args.seed}-t{args.seconds}.json")
@@ -120,10 +131,11 @@ def main():
             problems.append(f"metric set differs from BENCHMARK.json: "
                             f"missing {missing}, extra {extra}, "
                             f"unit {wrong}")
-    diffs = check_ledger(build_dir, args, exact)
+    diffs = check_ledger(build_dir, binary, args, exact)
     if diffs:
-        problems.append("exact counters differ from an earlier run with "
-                        "this seed: " + "; ".join(diffs[:8]))
+        problems.append("exact counters differ from an earlier run of "
+                        "this binary with this seed: " +
+                        "; ".join(diffs[:8]))
     if problems:
         result["correct"] = False
     print(json.dumps(result))

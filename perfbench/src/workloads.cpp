@@ -70,7 +70,7 @@ pairing_verify(const std::vector<uint8_t> &vk_bytes,
            hyperplonk::verify(*vk, publics, *proof, PcsCheckMode::pairing);
 }
 
-/** One request issued by a service driver. */
+/** One timed request: a service job, or one step of the library loop. */
 struct Sample {
     size_t input = 0;  ///< which pre-built frame
     bool verify = false;
@@ -237,11 +237,27 @@ exact_once(Report &rep, const std::string &key, uint64_t value)
     }
 }
 
-/** End-to-end metrics of a service workload's timed phase. Open-loop
- * requests are timed from their due time,
- * closed-loop ones from their submit time. */
+/**
+ * setup_s from repeated set-ups, in ms. The first repetition is the
+ * first prover work in the process, so it alone pays process-wide lazy
+ * initialisation (pool spin-up, static constants and tables). setup_s
+ * is the median of the later, warm repetitions plus the first one's
+ * excess over that median, so that one-time work is charged once.
+ */
+double
+setup_seconds(const std::vector<double> &reps_ms)
+{
+    std::vector<double> warm(reps_ms.begin() + 1, reps_ms.end());
+    const double m = median(warm);
+    std::printf("setup: cold %.1f ms, warm median %.1f ms\n", reps_ms[0], m);
+    return (m + std::max(0.0, reps_ms[0] - m)) / 1e3;
+}
+
+/** End-to-end metrics of a workload's timed phase. Open-loop requests
+ * are timed from their due time, closed-loop ones from their submit
+ * time. */
 void
-service_e2e(Report &rep, const std::vector<Sample> &samples, bool open_loop,
+traffic_e2e(Report &rep, const std::vector<Sample> &samples, bool open_loop,
             Clock::time_point t0, double setup_s, double peak_mb)
 {
     std::vector<double> prove_ms, bytes;
@@ -269,21 +285,34 @@ cache_delta(const runtime::KeyCacheStats &a, const runtime::KeyCacheStats &b)
     return {b.hits - a.hits, b.misses - a.misses, b.evictions - a.evictions};
 }
 
-/** Per-layer runtime / verify / driver metrics of a service run.
- * `timed` are the timed-phase requests; the verify layer is read from
- * the VERIFY jobs among `verify_jobs`. */
+/** What the traced run's per-layer rows read from one workload. */
+struct Traffic {
+    /** Every timed request. PROVE entries carry queue wait, active time
+     * and modmuls in `resp.metrics`; VERIFY entries their active time. */
+    const std::vector<Sample> *timed = nullptr;
+    /** VERIFY jobs the verify rows read (flush, batch size, window). */
+    const std::vector<Sample> *verify_jobs = nullptr;
+    double elapsed_ms = 0;
+    /** Concurrent provers and the kernel threads each may use. */
+    size_t workers = 1;
+    size_t worker_budget = kKernelThreads;
+    double key_cache_hit_ratio = 0;
+    /** Process CPU seconds over `cpu_wall_s` seconds of proving. */
+    double cpu_s = 0;
+    double cpu_wall_s = 0;
+    /** Wall time spent inside the trace hooks. */
+    double hook_ms = 0;
+};
+
+/** Per-layer ff / runtime / verify / driver / hyperplonk rows of a
+ * workload's traffic, then the direct-call sweep of `in`. */
 void
-service_layers(Report &rep, const std::vector<Sample> &timed,
-               const std::vector<Sample> &verify_jobs, double elapsed_ms,
-               size_t workers, size_t worker_budget,
-               const runtime::KeyCacheStats &cache,
-               const std::pair<KernelTotals, double> &traced,
-               double hook_ms, LayerInputs &in)
+traffic_layers(Report &rep, const Traffic &t, LayerInputs &in)
 {
     std::vector<double> queue, active, late;
     double busy = 0, muls_fr = 0, muls_fq = 0;
     uint64_t proofs = 0, ok = 0;
-    for (const auto &s : timed) {
+    for (const auto &s : *t.timed) {
         late.push_back(ms_between(s.due, s.submit));
         if (!s.answered || !s.resp.ok()) continue;
         ++ok;
@@ -297,40 +326,38 @@ service_layers(Report &rep, const std::vector<Sample> &timed,
         ++proofs;
     }
     std::vector<double> flush, batch, window;
-    for (const auto &s : verify_jobs) {
+    for (const auto &s : *t.verify_jobs) {
         if (!s.verify || !s.answered || !s.resp.ok()) continue;
         const auto &m = s.resp.metrics;
         flush.push_back(m.verify_ms);
         batch.push_back(double(m.batch_size));
         window.push_back(m.total_ms - m.queue_ms - m.prove_ms - m.verify_ms);
     }
-    const double attempted = double(std::max<size_t>(1, timed.size()));
+    const double n_timed = double(t.timed->size());
     const double n = double(std::max<uint64_t>(1, proofs));
+    const double elapsed_s = t.elapsed_ms / 1e3;
     rep.set("ff.modmul_fr_per_proof", muls_fr / n, "count");
     rep.set("ff.modmul_fq_per_proof", muls_fq / n, "count");
     rep.set("runtime.queue_wait_p50_ms", quantile(queue, 0.5), "ms");
     rep.set("runtime.queue_wait_p95_ms", quantile(queue, 0.95), "ms");
     rep.set("runtime.active_p50_ms", quantile(active, 0.5), "ms");
-    rep.set("runtime.key_cache_hit_ratio", cache.hit_rate(), "ratio");
+    rep.set("runtime.key_cache_hit_ratio", t.key_cache_hit_ratio, "ratio");
     rep.set("runtime.worker_busy_ratio",
-            busy / (double(workers) * elapsed_ms), "ratio");
+            busy / (double(t.workers) * t.elapsed_ms), "ratio");
     rep.set("verify.flush_p50_ms", quantile(flush, 0.5), "ms");
     rep.set("verify.batch_size_mean", mean(batch), "count");
     rep.set("verify.window_wait_p50_ms", quantile(window, 0.5), "ms");
     rep.set("driver.late_p99_ms", quantile(late, 0.99), "ms");
-    rep.set("driver.offered_qps", double(timed.size()) / (elapsed_ms / 1e3),
-            "1/s");
-    rep.set("driver.achieved_qps", double(ok) / (elapsed_ms / 1e3), "1/s");
-    rep.set("driver.failed_ratio", (double(timed.size()) - double(ok)) /
-                                       attempted,
-            "ratio");
+    rep.set("driver.offered_qps", n_timed / elapsed_s, "1/s");
+    rep.set("driver.achieved_qps", double(ok) / elapsed_s, "1/s");
+    rep.set("driver.failed_ratio",
+            (n_timed - double(ok)) / std::max(1.0, n_timed), "ratio");
     rep.set("hyperplonk.parallel_efficiency",
-            traced.second /
-                (elapsed_ms / 1e3 * double(workers * worker_budget)),
+            t.cpu_s / (t.cpu_wall_s *
+                       double(t.workers * t.worker_budget)),
             "ratio");
-    rep.set("trace.overhead_pct", 100.0 * hook_ms / elapsed_ms, "%");
+    rep.set("trace.overhead_pct", 100.0 * t.hook_ms / t.elapsed_ms, "%");
 
-    in.kernels = traced.first;
     in.kernel_proofs = proofs;
     layer_sweep(in, rep);
     // Share of the provers' thread time a modmul-only model explains.
@@ -339,7 +366,8 @@ service_layers(Report &rep, const std::vector<Sample> &timed,
     double model_ns = muls_fr * rep.metrics["ff.fr_mul_ns"].first +
                       muls_fq * rep.metrics["ff.fq_mul_ns"].first;
     rep.set("hyperplonk.modmul_bound_ratio",
-            model_ns / (active_sum * 1e6 * double(worker_budget)), "ratio");
+            model_ns / (active_sum * 1e6 * double(t.worker_budget)),
+            "ratio");
 }
 
 /** `workers` proof workers sharing the fixed kernel-thread budget, with
@@ -410,15 +438,16 @@ run_prove_2p16(const Options &opt, Report &rep)
     }
 
     // Timed phase: closed loop, next request due when the last returns.
+    // Each iteration is recorded as a PROVE request and a VERIFY request
+    // (the pairing verify of that proof), in the service's terms.
     TraceHooks hooks(opt.trace);
-    std::vector<double> prove_ms, verify_ms, late_ms, cpu_s;
-    std::vector<hyperplonk::Proof> proofs;
-    uint64_t muls_fr = 0, muls_fq = 0;
+    std::vector<Sample> samples;
+    double cpu_s = 0, prove_wall_s = 0;
     const auto t_start = Clock::now();
     const auto deadline =
         t_start + std::chrono::duration_cast<Clock::duration>(
                       std::chrono::duration<double>(opt.seconds));
-    auto due = t_start, last = t_start;
+    auto due = t_start;
     hooks.start();
     while (Clock::now() < deadline) {
         auto t0 = Clock::now();
@@ -434,7 +463,8 @@ run_prove_2p16(const Options &opt, Report &rep)
         uint64_t fr = scope.fr_delta(), fq = scope.fq_delta();
         if (opt.trace) {
             auto h0 = Clock::now();
-            cpu_s.push_back(process_cpu_s() - cpu0);
+            cpu_s += process_cpu_s() - cpu0;
+            prove_wall_s += ms_between(t0, t1) / 1e3;
             hooks.ms += ms_since(h0);
         }
         bool ok = hyperplonk::verify(*vk, publics, proof,
@@ -442,53 +472,60 @@ run_prove_2p16(const Options &opt, Report &rep)
         auto t2 = Clock::now();
         auto bytes = hyperplonk::serde::serialize_proof(proof);
         ++rep.attempted;
-        late_ms.push_back(ms_between(due, t0));
         if (!ok) rep.error("timed proof failed pairing verification");
         if (bytes != ref_bytes) rep.error("timed proof bytes changed");
-        if (!ok || bytes != ref_bytes) {
-            ++rep.failed;
-        } else {
-            prove_ms.push_back(ms_between(t0, t1));
-            verify_ms.push_back(ms_between(t1, t2));
-            muls_fr = fr;
-            muls_fq = fq;
-        }
+        if (!ok || bytes != ref_bytes) ++rep.failed;
         exact_once(rep, "modmul_fr_per_proof", fr);
         exact_once(rep, "modmul_fq_per_proof", fq);
-        if (opt.trace) proofs.push_back(std::move(proof));
-        due = last = t2;
+
+        const auto status = ok && bytes == ref_bytes
+                                 ? runtime::JobStatus::ok
+                                 : runtime::JobStatus::internal_error;
+        Sample p;
+        p.due = due;
+        p.submit = t0;
+        p.answered = true;
+        p.resp.status = status;
+        p.resp.proof = std::move(bytes);
+        p.resp.metrics.queue_ms = ms_between(due, t0);
+        p.resp.metrics.prove_ms = p.resp.metrics.total_ms = ms_between(t0, t1);
+        p.resp.metrics.modmul_fr = fr;
+        p.resp.metrics.modmul_fq = fq;
+        Sample v;
+        v.verify = true;
+        v.due = v.submit = t1;
+        v.answered = true;
+        v.resp.status = status;
+        v.resp.metrics.prove_ms = v.resp.metrics.total_ms = ms_between(t1, t2);
+        samples.push_back(std::move(p));
+        samples.push_back(std::move(v));
+        due = t2;
     }
     auto traced = hooks.stop();
     const double peak_mb = peak_rss_mb();
-    const double elapsed_ms = ms_between(t_start, last);
+    const double elapsed_ms = ms_between(t_start, due);
     exact_once(rep, "proof_bytes", ref_bytes.size());
-    std::printf("samples: %zu proofs in %.0f ms\n", prove_ms.size(),
-                elapsed_ms);
 
     if (!opt.trace) {
-        rep.set("setup_s", median(setup_ms) / 1e3, "s");
-        rep.set("prove_p50_ms", quantile(prove_ms, 0.5), "ms");
-        rep.set("prove_p90_ms", quantile(prove_ms, 0.9), "ms");
-        rep.set("proofs_per_s",
-                double(prove_ms.size()) / (elapsed_ms / 1e3), "1/s");
-        rep.set("peak_rss_mb", peak_mb, "MB");
-        rep.set("proof_bytes", double(ref_bytes.size()), "bytes");
+        traffic_e2e(rep, samples, /*open_loop=*/false, t_start,
+                    setup_seconds(setup_ms), peak_mb);
         return;
     }
 
     // Traced run. The library loop has no queue, key cache or batch
-    // window: queue wait is the due -> prove() gap, the key is held
-    // (hit ratio 1), and the verify layer is measured by folding the
-    // timed proofs through BatchVerifier (a second verifier that must
-    // agree with the pairing verdicts above).
-    std::vector<double> window_ms;
-    double flush_ms = 0;
+    // window: queue wait is the due -> prove() gap and the key is held
+    // (hit ratio 1). The verify rows fold the timed proofs through
+    // BatchVerifier, a second verifier that must agree with the pairing
+    // verdicts above; each proof's window is its wait for the flush.
+    std::vector<Sample> folded;
     {
         verifier::BatchVerifier batch;
         std::vector<Clock::time_point> parked;
-        for (const auto &p : proofs) {
+        for (const auto &s : samples) {
+            if (s.verify || !s.resp.ok()) continue;
+            auto p = hyperplonk::serde::deserialize_proof(s.resp.proof);
             verifier::PairingAccumulator acc;
-            if (!hyperplonk::verify_deferred(*vk, publics, p, acc)) {
+            if (!p || !hyperplonk::verify_deferred(*vk, publics, *p, acc)) {
                 rep.error("deferred verification rejected a timed proof");
             }
             batch.add(std::move(acc));
@@ -496,40 +533,19 @@ run_prove_2p16(const Options &opt, Report &rep)
         }
         auto f0 = Clock::now();
         auto result = batch.flush();
-        flush_ms = ms_since(f0);
+        const double flush_ms = ms_since(f0);
         if (!result.all_ok()) rep.error("batch flush rejected a proof");
-        for (auto t : parked) window_ms.push_back(ms_between(t, f0));
+        for (auto t : parked) {
+            Sample v;
+            v.verify = true;
+            v.answered = true;
+            v.resp.status = runtime::JobStatus::ok;
+            v.resp.metrics.verify_ms = flush_ms;
+            v.resp.metrics.batch_size = uint32_t(parked.size());
+            v.resp.metrics.total_ms = ms_between(t, f0) + flush_ms;
+            folded.push_back(std::move(v));
+        }
     }
-    double busy = 0;
-    for (size_t i = 0; i < prove_ms.size(); ++i) {
-        busy += prove_ms[i] + verify_ms[i];
-    }
-    double cpu_total = 0;
-    for (double c : cpu_s) cpu_total += c;
-    double prove_total_ms = 0;
-    for (double p : prove_ms) prove_total_ms += p;
-    rep.set("ff.modmul_fr_per_proof", double(muls_fr), "count");
-    rep.set("ff.modmul_fq_per_proof", double(muls_fq), "count");
-    rep.set("runtime.queue_wait_p50_ms", quantile(late_ms, 0.5), "ms");
-    rep.set("runtime.queue_wait_p95_ms", quantile(late_ms, 0.95), "ms");
-    rep.set("runtime.active_p50_ms", quantile(prove_ms, 0.5), "ms");
-    rep.set("runtime.key_cache_hit_ratio", 1.0, "ratio");
-    rep.set("runtime.worker_busy_ratio", busy / elapsed_ms, "ratio");
-    rep.set("verify.flush_p50_ms", flush_ms, "ms");
-    rep.set("verify.batch_size_mean", double(proofs.size()), "count");
-    rep.set("verify.window_wait_p50_ms", quantile(window_ms, 0.5), "ms");
-    rep.set("driver.late_p99_ms", quantile(late_ms, 0.99), "ms");
-    rep.set("driver.offered_qps", double(rep.attempted) / (elapsed_ms / 1e3),
-            "1/s");
-    rep.set("driver.achieved_qps",
-            double(prove_ms.size()) / (elapsed_ms / 1e3), "1/s");
-    rep.set("driver.failed_ratio",
-            double(rep.failed) / double(std::max<uint64_t>(1, rep.attempted)),
-            "ratio");
-    rep.set("hyperplonk.parallel_efficiency",
-            cpu_total / (prove_total_ms / 1e3 * double(kKernelThreads)),
-            "ratio");
-    rep.set("trace.overhead_pct", 100.0 * hooks.ms / elapsed_ms, "%");
 
     auto frame = runtime::wire::encode_request(
         runtime::JobRequest{1, circuit, witness});
@@ -540,16 +556,17 @@ run_prove_2p16(const Options &opt, Report &rep)
     in.witness = &witness;
     in.frames = {&frame};
     in.kernels = traced.first;
-    in.kernel_proofs = proofs.size();
     in.srs_generate_ms = median(srs_ms);
     in.keygen_ms = median(keygen_ms);
-    layer_sweep(in, rep);
-    double model_ns = double(muls_fr) * rep.metrics["ff.fr_mul_ns"].first +
-                      double(muls_fq) * rep.metrics["ff.fq_mul_ns"].first;
-    rep.set("hyperplonk.modmul_bound_ratio",
-            model_ns / (quantile(prove_ms, 0.5) * 1e6 *
-                        double(kKernelThreads)),
-            "ratio");
+    traffic_layers(rep,
+                   Traffic{.timed = &samples,
+                           .verify_jobs = &folded,
+                           .elapsed_ms = elapsed_ms,
+                           .key_cache_hit_ratio = 1.0,
+                           .cpu_s = cpu_s,
+                           .cpu_wall_s = prove_wall_s,
+                           .hook_ms = hooks.ms},
+                   in);
 }
 
 // ---------------------------------------------------------------------
@@ -562,20 +579,21 @@ run_serve_mixed(const Options &opt, Report &rep)
     constexpr size_t kMu = 10;
     constexpr size_t kWorkers = 4;
     constexpr size_t kInstances = 2;
-    constexpr int kSetupReps = 5;
+    // Each set-up is ~1 s of 12 parallel 2^10 keygens + proofs, whose
+    // run-to-run spread is large; ten repetitions steady the median.
+    constexpr int kSetupReps = 10;
     // Total arrivals per second, half of them VERIFY: about half the
     // mixed saturation of this configuration (~29 req/s measured on the
-    // 4-vCPU host, ~20 req/s in its slow phases). 12 req/s x 22 s gives
-    // 132 samples per class, 13 of them beyond p90.
+    // 4-vCPU host, ~20 req/s in its slow phases). 12 req/s x 20 s gives
+    // 120 samples per class, 12 of them beyond p90.
     constexpr double kRate = 12.0;
     const std::vector<std::string> families = {
         "rollup",           "rescue-chain",      "merkle-membership",
         "range-via-lookup", "xor-rescue-lookup", "table3-zcash"};
 
-    // Inputs: per family and instance a PROVE frame, the reference
-    // proof the service must reproduce byte for byte, and a VERIFY
-    // frame carrying that proof. The local key cache uses the
-    // service's default SRS seed, so keys and proofs are identical.
+    // Inputs: per family and instance a PROVE frame. The reference proof
+    // the service must reproduce byte for byte, and a VERIFY frame
+    // carrying it, are built during the first set-up (see below).
     ff::WorkerBudgetScope budget(kKernelThreads);
     struct Input {
         std::string name;
@@ -584,7 +602,6 @@ run_serve_mixed(const Options &opt, Report &rep)
         std::vector<ff::Fr> publics;
     };
     std::vector<Input> inputs;
-    runtime::KeyCache local(families.size() * kInstances);
     for (size_t f = 0; f < families.size(); ++f) {
         for (size_t i = 0; i < kInstances; ++i) {
             Input in;
@@ -599,18 +616,25 @@ run_serve_mixed(const Options &opt, Report &rep)
                                          "circuit");
             }
             in.publics = in.inst.witness.public_inputs(in.inst.circuit);
+            in.prove_frame = runtime::wire::encode_request(runtime::JobRequest{
+                inputs.size() + 1, in.inst.circuit, in.inst.witness});
+            inputs.push_back(std::move(in));
+        }
+    }
+    // References from a local key cache on the service's default SRS
+    // seed, so keys and proofs are identical to the service's.
+    runtime::KeyCache local(inputs.size());
+    auto build_references = [&] {
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            Input &in = inputs[i];
             auto keys = local.get_or_create(in.inst.circuit).first;
             in.proof = hyperplonk::serde::serialize_proof(
                 hyperplonk::prove(*keys.pk, in.inst.witness));
             in.vk = hyperplonk::serde::serialize_verifying_key(*keys.vk);
-            uint64_t id = inputs.size() + 1;
-            in.prove_frame = runtime::wire::encode_request(
-                runtime::JobRequest{id, in.inst.circuit, in.inst.witness});
             in.verify_frame = runtime::wire::encode_verify_request(
-                runtime::VerifyRequest{id, in.vk, in.publics, in.proof});
-            inputs.push_back(std::move(in));
+                runtime::VerifyRequest{i + 1, in.vk, in.publics, in.proof});
         }
-    }
+    };
 
     // Schedule: a Poisson process conditioned on exactly N arrivals in
     // [0, seconds), with the PROVE/VERIFY split and the family mix
@@ -632,7 +656,10 @@ run_serve_mixed(const Options &opt, Report &rep)
     }
 
     // Set-up: service start, SRS + keygen through the cache fill (one
-    // PROVE per input), one VERIFY warm-up.
+    // PROVE per input), one VERIFY warm-up. The first repetition is the
+    // process's first prover work; its clock is paused while the
+    // references are built, after the cache fill and before the VERIFY
+    // warm-up that needs one of them.
     std::vector<double> setup_ms;
     std::unique_ptr<runtime::ProofService> svc;
     for (int r = 0; r < kSetupReps; ++r) {
@@ -642,17 +669,21 @@ run_serve_mixed(const Options &opt, Report &rep)
             service_config(kWorkers));
         std::vector<std::future<JobResponse>> warm;
         for (const auto &in : inputs) warm.push_back(svc->submit(in.prove_frame));
-        for (size_t i = 0; i < warm.size(); ++i) {
-            JobResponse resp = warm[i].get();
-            if (!resp.ok() || resp.proof != inputs[i].proof) {
+        std::vector<JobResponse> resps;
+        for (auto &f : warm) resps.push_back(f.get());
+        double ms = ms_since(t0);
+        if (r == 0) build_references();
+        for (size_t i = 0; i < resps.size(); ++i) {
+            if (!resps[i].ok() || resps[i].proof != inputs[i].proof) {
                 rep.error(inputs[i].name + ": warm-up proof differs from "
                           "the reference");
             }
         }
+        auto t1 = Clock::now();
         if (!svc->submit(inputs[0].verify_frame).get().ok()) {
             rep.error("warm-up VERIFY rejected an honest proof");
         }
-        setup_ms.push_back(ms_since(t0));
+        setup_ms.push_back(ms + ms_since(t1));
         std::printf("setup %d: %.1f ms\n", r, setup_ms.back());
     }
 
@@ -737,8 +768,8 @@ run_serve_mixed(const Options &opt, Report &rep)
     svc->shutdown();
 
     if (!opt.trace) {
-        service_e2e(rep, samples, /*open_loop=*/true, t_start,
-                    median(setup_ms) / 1e3, peak_mb);
+        traffic_e2e(rep, samples, /*open_loop=*/true, t_start,
+                    setup_seconds(setup_ms), peak_mb);
         return;
     }
     LayerInputs lin;
@@ -747,8 +778,18 @@ run_serve_mixed(const Options &opt, Report &rep)
     lin.circuit = &inputs[0].inst.circuit;
     lin.witness = &inputs[0].inst.witness;
     for (const auto &in : inputs) lin.frames.push_back(&in.prove_frame);
-    service_layers(rep, samples, samples, elapsed_ms, kWorkers,
-                   svc->worker_budget(), cache, traced, hooks.ms, lin);
+    lin.kernels = traced.first;
+    traffic_layers(rep,
+                   Traffic{.timed = &samples,
+                           .verify_jobs = &samples,
+                           .elapsed_ms = elapsed_ms,
+                           .workers = kWorkers,
+                           .worker_budget = svc->worker_budget(),
+                           .key_cache_hit_ratio = cache.hit_rate(),
+                           .cpu_s = traced.second,
+                           .cpu_wall_s = elapsed_ms / 1e3,
+                           .hook_ms = hooks.ms},
+                   lin);
 }
 
 // ---------------------------------------------------------------------
@@ -909,8 +950,8 @@ run_serve_cold(const Options &opt, Report &rep)
     svc->shutdown();
 
     if (!opt.trace) {
-        service_e2e(rep, samples, /*open_loop=*/false, t_start,
-                    median(setup_ms) / 1e3, peak_mb);
+        traffic_e2e(rep, samples, /*open_loop=*/false, t_start,
+                    setup_seconds(setup_ms), peak_mb);
         return;
     }
     auto req = runtime::wire::decode_request(frames[0]);
@@ -921,8 +962,18 @@ run_serve_cold(const Options &opt, Report &rep)
     lin.circuit = &req->circuit;
     lin.witness = &req->witness;
     for (size_t i = 0; i < 4; ++i) lin.frames.push_back(&frames[i]);
-    service_layers(rep, samples, vsamples, elapsed_ms, kWorkers,
-                   svc->worker_budget(), cache, traced, hooks.ms, lin);
+    lin.kernels = traced.first;
+    traffic_layers(rep,
+                   Traffic{.timed = &samples,
+                           .verify_jobs = &vsamples,
+                           .elapsed_ms = elapsed_ms,
+                           .workers = kWorkers,
+                           .worker_budget = svc->worker_budget(),
+                           .key_cache_hit_ratio = cache.hit_rate(),
+                           .cpu_s = traced.second,
+                           .cpu_wall_s = elapsed_ms / 1e3,
+                           .hook_ms = hooks.ms},
+                   lin);
 }
 
 }  // namespace perfbench
