@@ -584,8 +584,8 @@ run_serve_mixed(const Options &opt, Report &rep)
     constexpr int kSetupReps = 10;
     // Total arrivals per second, half of them VERIFY: about half the
     // mixed saturation of this configuration (~29 req/s measured on the
-    // 4-vCPU host, ~20 req/s in its slow phases). 12 req/s x 20 s gives
-    // 120 samples per class, 12 of them beyond p90.
+    // 4-vCPU host, ~20 req/s in its slow phases). 12 req/s x 36 s gives
+    // 216 samples per class, 21 of them beyond p90.
     constexpr double kRate = 12.0;
     const std::vector<std::string> families = {
         "rollup",           "rescue-chain",      "merkle-membership",
